@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 
 Element = Hashable
@@ -110,77 +108,6 @@ def greedy_weighted_set_cover(instance: SetCoverInstance) -> List[SetId]:
         chosen.append(best_id)
         uncovered -= remaining.pop(best_id)
     return chosen
-
-
-def greedy_weighted_set_cover_dense(
-    membership: "np.ndarray",
-    weights: "np.ndarray",
-    tie_rank: "np.ndarray",
-) -> List[int]:
-    """Vectorised greedy set cover over a dense membership matrix.
-
-    Decision-identical to :func:`greedy_weighted_set_cover` on the same
-    instance: each round picks the set minimising the scalar key
-    ``(weight / new, -new, repr(set_id))``, realised here as min ratio
-    (the same float64 division), then max newly-covered count, then min
-    ``tie_rank`` — the caller supplies each row's rank in the
-    repr-sorted order of its set id, reproducing the string tie-break
-    exactly. Because the key totally orders the sets, the scalar path's
-    dict-iteration order is irrelevant and both paths agree.
-
-    Args:
-        membership: ``(num_sets, num_elements)`` 0/1 int64 matrix.
-        weights: ``(num_sets,)`` float64 set weights (must be >= 0).
-        tie_rank: ``(num_sets,)`` int64 rank of ``repr(set_id)`` in
-            sorted order; must be a permutation of ``0..num_sets-1``.
-
-    Returns:
-        Chosen row indices in pick order (covering every element).
-
-    Raises:
-        ConfigurationError: when some element is in no set.
-    """
-    num_sets, num_elements = membership.shape
-    uncovered = np.ones(num_elements, dtype=np.int64)
-    remaining = int(num_elements)
-    chosen: List[int] = []
-    while remaining > 0:
-        new_counts = membership @ uncovered
-        active = new_counts > 0
-        if not active.any():
-            raise ConfigurationError("instance is not coverable")
-        # Same float64 division as the scalar `weight / len(new)`; the
-        # clip only feeds masked-out lanes.
-        ratio = np.where(
-            active, weights / np.maximum(new_counts, 1), math.inf
-        )
-        tied = np.flatnonzero(ratio == ratio.min())
-        if len(tied) > 1:
-            tied_counts = new_counts[tied]
-            tied = tied[tied_counts == tied_counts.max()]
-        if len(tied) > 1:
-            best = int(tied[tie_rank[tied].argmin()])
-        else:
-            best = int(tied[0])
-        chosen.append(best)
-        uncovered &= 1 - membership[best]
-        remaining = int(uncovered.sum())
-    return chosen
-
-
-def repr_tie_ranks(set_ids: Sequence[SetId]) -> "np.ndarray":
-    """Each set's rank under ``repr``-string ordering (dense tie-break).
-
-    ``tie_rank[i]`` is the position of ``repr(set_ids[i])`` in the
-    sorted repr order — the permutation
-    :func:`greedy_weighted_set_cover_dense` needs to reproduce the
-    scalar greedy's ``repr(set_id)`` tie-break.
-    """
-    order = sorted(range(len(set_ids)), key=lambda i: repr(set_ids[i]))
-    ranks = np.empty(len(set_ids), dtype=np.int64)
-    for rank, row in enumerate(order):
-        ranks[row] = rank
-    return ranks
 
 
 def exact_weighted_set_cover(

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.cost import PAPER_COST_FUNCTION, CostFunction, energy_cost
-from repro.core.fleet import FleetCostState
 from repro.core.scheduler import OnlineScheduler, SystemView, register_scheduler
 from repro.errors import ReplicaUnavailableError
 from repro.types import DiskId, Request
@@ -42,23 +41,12 @@ class HeuristicScheduler(OnlineScheduler):
                 f"no live replica for data {request.data_id}"
             )
         cost_function = self.cost_function
-        # Columnar kernel: views that carry a FleetCostState mirror
-        # (StorageSystem under --kernel numpy) score candidates straight
-        # from the fleet columns — bit-identical to the loop below.
-        fleet: Optional[FleetCostState] = getattr(view, "fleet", None)
-        if fleet is not None:
-            return fleet.choose(
-                locations,
-                view.now,
-                cost_function.alpha,
-                cost_function.beta,
-                cost_function.load_weight,
-            )
-        # Inlined CostFunction.cost(): this loop runs once per arrival and
-        # dominated the profile; hoisting the weights and reading each
-        # disk's queue once roughly halves its attribute traffic. The
-        # arithmetic matches CostFunction.cost() bit for bit (evaluation
-        # order `energy * alpha / beta` included).
+        # The only Eq. 5/Eq. 6 evaluation for online arrivals: a scalar
+        # loop over the request's few replicas. CostFunction.cost() is
+        # inlined — hoisting the weights and reading each disk's queue
+        # once roughly halves its attribute traffic — and the arithmetic
+        # matches it bit for bit (evaluation order `energy * alpha / beta`
+        # included).
         alpha = cost_function.alpha
         beta = cost_function.beta
         load_weight = cost_function.load_weight

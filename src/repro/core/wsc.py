@@ -14,18 +14,10 @@ Eq. 5 energy; both are supported (``use_cost_function`` flag).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.algorithms.set_cover import (
-    SetCoverInstance,
-    greedy_weighted_set_cover,
-    greedy_weighted_set_cover_dense,
-    repr_tie_ranks,
-)
+from repro.algorithms.set_cover import SetCoverInstance, greedy_weighted_set_cover
 from repro.core.cost import PAPER_COST_FUNCTION, CostFunction, energy_cost
-from repro.core.fleet import FleetCostState
 from repro.core.scheduler import BatchScheduler, SystemView, register_scheduler
 from repro.errors import ReplicaUnavailableError, SchedulingError
 from repro.types import DiskId, Request, RequestId
@@ -73,21 +65,15 @@ class WSCBatchScheduler(BatchScheduler):
             located.append(available)
             for disk_id in available:
                 coverage.setdefault(disk_id, []).append(request.request_id)
-        fleet: Optional[FleetCostState] = getattr(view, "fleet", None)
-        if fleet is not None:
-            weights = self._fleet_weights(coverage, fleet, view.now)
-            chosen_set = self._cover_dense(requests, coverage, weights)
-        else:
-            weights = {
-                disk_id: self._disk_weight(disk_id, view)
-                for disk_id in coverage
-            }
-            instance = SetCoverInstance.build(
-                universe=[request.request_id for request in requests],
-                sets=coverage,
-                weights=weights,
-            )
-            chosen_set = set(greedy_weighted_set_cover(instance))
+        weights = {
+            disk_id: self._disk_weight(disk_id, view) for disk_id in coverage
+        }
+        instance = SetCoverInstance.build(
+            universe=[request.request_id for request in requests],
+            sets=coverage,
+            weights=weights,
+        )
+        chosen_set = set(greedy_weighted_set_cover(instance))
         # Route each request to its cheapest chosen location; tie-break on
         # queue length so covered disks share load, then on disk id. The
         # unrolled comparison equals `min` with the old
@@ -126,66 +112,6 @@ class WSCBatchScheduler(BatchScheduler):
             extra_load[best] += 1
             result[request.request_id] = best
         return result
-
-    def _fleet_weights(
-        self,
-        coverage: Dict[DiskId, List[RequestId]],
-        fleet: FleetCostState,
-        now: float,
-    ) -> Dict[DiskId, float]:
-        """One vectorised Eq. 6 (or Eq. 5) pass over all covering disks.
-
-        Bit-identical to calling :meth:`_disk_weight` per disk: the
-        fleet columns encode the same memoised marginal-energy terms and
-        the kernels evaluate the same expressions in the same order.
-        """
-        disk_ids = list(coverage)
-        if self.use_cost_function:
-            cost_function = self.cost_function
-            values = fleet.weights(
-                disk_ids,
-                now,
-                cost_function.alpha,
-                cost_function.beta,
-                cost_function.load_weight,
-            )
-        else:
-            values = fleet.energies(disk_ids, now)
-        return dict(zip(disk_ids, values))
-
-    @staticmethod
-    def _cover_dense(
-        requests: Sequence[Request],
-        coverage: Dict[DiskId, List[RequestId]],
-        weights: Dict[DiskId, float],
-    ) -> Set[DiskId]:
-        """Greedy set cover through the dense vectorised solver.
-
-        Builds the 0/1 membership matrix directly from ``coverage``
-        (every element is coverable by construction — each request
-        contributed at least one disk) instead of the frozenset-churning
-        :meth:`SetCoverInstance.build`, and delegates to
-        :func:`greedy_weighted_set_cover_dense`, which reproduces the
-        scalar greedy's decisions exactly.
-        """
-        disk_ids = list(coverage)
-        column_of = {
-            request.request_id: column
-            for column, request in enumerate(requests)
-        }
-        membership = np.zeros(
-            (len(disk_ids), len(requests)), dtype=np.int64
-        )
-        for row, disk_id in enumerate(disk_ids):
-            for request_id in coverage[disk_id]:
-                membership[row, column_of[request_id]] = 1
-        weight_array = np.array(
-            [weights[disk_id] for disk_id in disk_ids], dtype=np.float64
-        )
-        chosen_rows = greedy_weighted_set_cover_dense(
-            membership, weight_array, repr_tie_ranks(disk_ids)
-        )
-        return {disk_ids[row] for row in chosen_rows}
 
     def _disk_weight(self, disk_id: DiskId, view: SystemView) -> float:
         disk = view.disk(disk_id)

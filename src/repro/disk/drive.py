@@ -22,7 +22,6 @@ Semantics match Section 2 of the paper:
 from __future__ import annotations
 
 import random
-from array import array
 from heapq import heappush
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
@@ -37,16 +36,11 @@ from repro.power.states import DiskPowerState
 from repro.types import DiskId, Request
 
 if TYPE_CHECKING:  # used only in annotations; avoids a package import cycle
-    from repro.core.fleet import FleetCostState
     from repro.faults.plan import SpinUpFaults
     from repro.sim.engine import EventCallback, ReusableTimer, SimulationEngine
 
 CompletionCallback = Callable[[Request, DiskId, float], None]
 FaultDeathCallback = Callable[[DiskId, List[Request]], None]
-
-#: Placeholder for the fleet column slots while no fleet is attached —
-#: keeps them non-Optional so the hot-path hooks skip None-narrowing.
-_NO_FLEET_COLUMN: "array[float]" = array("d")
 
 # Hot-path aliases: one global load instead of an enum attribute lookup
 # per state test in submit / completion (the two per-request functions).
@@ -80,11 +74,6 @@ class SimulatedDisk:
         "_standby_marginal_j",
         "_marginal_const_by_state",
         "_marginal_const",
-        "_f_live",
-        "_f_pi",
-        "_f_const",
-        "_f_tlast",
-        "_f_queue",
         "_health",
         "_fault_capable",
         "_fault_epoch",
@@ -156,14 +145,6 @@ class SimulatedDisk:
             DiskPowerState.IDLE: None,  # dynamic: idle extension
         }
         self._marginal_const = self._marginal_const_by_state[initial_state]
-        # Columnar fleet mirror (repro.core.fleet): direct references to
-        # the fleet's columns, armed by attach_fleet(). On the python
-        # kernel _f_live stays False and each hook costs one flag test.
-        self._f_live = False
-        self._f_pi: "array[float]" = _NO_FLEET_COLUMN
-        self._f_const: "array[float]" = _NO_FLEET_COLUMN
-        self._f_tlast: "array[float]" = _NO_FLEET_COLUMN
-        self._f_queue: "array[float]" = _NO_FLEET_COLUMN
         # Fault-injection hooks; inert until enable_fault_injection().
         self._health = DiskHealth.HEALTHY
         self._fault_capable = False
@@ -211,43 +192,6 @@ class SimulatedDisk:
             )
         return extension * self._idle_power_w
 
-    def attach_fleet(self, fleet: "FleetCostState") -> None:
-        """Mirror this disk's scheduling state into ``fleet``'s columns.
-
-        The disk writes its slot (indexed by ``disk_id``) on every
-        state transition, submit, completion and crash-stop from then
-        on; the current state is written immediately so the mirror is
-        consistent from the moment of attachment.
-        """
-        if not 0 <= self.disk_id < fleet.num_disks:
-            raise SimulationError(
-                f"disk id {self.disk_id} outside fleet of {fleet.num_disks}"
-            )
-        self._f_pi = fleet.pi
-        self._f_const = fleet.const
-        self._f_tlast = fleet.tlast
-        self._f_queue = fleet.queue
-        self._f_live = True
-        i = self.disk_id
-        self._f_tlast[i] = (
-            self.last_request_time if self.last_request_time is not None else 0.0
-        )
-        self._f_queue[i] = float(self.queue_length)
-        self._write_fleet_energy()
-
-    def _write_fleet_energy(self) -> None:
-        """Refresh this disk's Eq. 5 encoding in the fleet columns."""
-        i = self.disk_id
-        const = self._marginal_const
-        if const is None:  # IDLE: energy grows with the idle extension
-            self._f_pi[i] = (
-                self._idle_power_w if self.last_request_time is not None else 0.0
-            )
-            self._f_const[i] = 0.0
-        else:
-            self._f_pi[i] = 0.0
-            self._f_const[i] = const
-
     @property
     def health(self) -> DiskHealth:
         """Availability of this disk, orthogonal to its power state."""
@@ -274,10 +218,6 @@ class SimulatedDisk:
         engine = self._engine
         now = engine._now
         self.last_request_time = now
-        if self._f_live:
-            i = self.disk_id
-            self._f_tlast[i] = now
-            self._f_queue[i] += 1.0
         state = self._state
         if state is not _IDLE:
             self._queue.append(request)
@@ -310,9 +250,6 @@ class SimulatedDisk:
         stats._state_since = now
         self._state = _ACTIVE
         self._marginal_const = 0.0
-        if self._f_live:
-            # IDLE already encoded const = 0.0; only pi changes.
-            self._f_pi[self.disk_id] = 0.0
         self._in_service = request
         if duration > 0:
             if self._fault_capable:
@@ -403,8 +340,6 @@ class SimulatedDisk:
             self._in_service = None
         drained.extend(self._queue)
         self._queue.clear()
-        if self._f_live:
-            self._f_queue[self.disk_id] = 0.0
         if self._state is not DiskPowerState.STANDBY:
             self._transition(DiskPowerState.STANDBY)
         return drained
@@ -447,8 +382,6 @@ class SimulatedDisk:
         self.stats.transition(new_state, self._engine.now)
         self._state = new_state
         self._marginal_const = self._marginal_const_by_state[new_state]
-        if self._f_live:
-            self._write_fleet_energy()
 
     def _start_spin_up(self) -> None:
         self._transition(DiskPowerState.SPIN_UP)
@@ -548,8 +481,6 @@ class SimulatedDisk:
         if request is None:
             raise SimulationError("service completion with no request in flight")
         self._in_service = None
-        if self._f_live:
-            self._f_queue[self.disk_id] -= 1.0
         stats = self.stats
         stats.requests_serviced += 1
         if self._on_complete is not None:
@@ -565,11 +496,6 @@ class SimulatedDisk:
         stats._state_since = now
         self._state = _IDLE
         self._marginal_const = None
-        if self._f_live:
-            # ACTIVE already encoded const = 0.0, and last_request_time
-            # is non-None here (set when this request was submitted) —
-            # only pi changes.
-            self._f_pi[self.disk_id] = self._idle_power_w
         timeout = self._idle_timeout_s
         if timeout is not None:
             engine = self._engine
@@ -601,8 +527,6 @@ class SimulatedDisk:
         if request is None:
             raise SimulationError("service completion with no request in flight")
         self._in_service = None
-        if self._f_live:
-            self._f_queue[self.disk_id] -= 1.0
         self.stats.note_request_serviced()
         if self._on_complete is not None:
             self._on_complete(request, self.disk_id, self._engine.now)

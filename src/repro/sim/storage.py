@@ -17,13 +17,10 @@ import operator
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.fleet import SMALL_CANDIDATE_CUTOFF, FleetCostState
-from repro.core.heuristic import HeuristicScheduler
 from repro.core.scheduler import BatchScheduler, OnlineScheduler, Scheduler
 from repro.disk.drive import SimulatedDisk
 from repro.errors import (
     PlacementError,
-    ReplicaUnavailableError,
     SchedulingError,
     SimulationError,
 )
@@ -96,16 +93,6 @@ class StorageSystem:
             )
             for disk_id in range(config.num_disks)
         }
-        #: Columnar cost kernel (``view.fleet``): schedulers score
-        #: through it when attached; ``None`` selects the pure-Python
-        #: reference path. Both kernels are byte-identical by contract.
-        self.fleet: Optional[FleetCostState] = None
-        if config.kernel == "numpy":
-            self.fleet = FleetCostState(
-                config.num_disks, config.profile, config.initial_state
-            )
-            for disk in self._disks.values():
-                disk.attach_fleet(self.fleet)
         self._batch_buffer: List[Request] = []
         self._tick_scheduled = False
         self._offered = 0
@@ -266,16 +253,10 @@ class StorageSystem:
 
         The general path (:meth:`_on_arrival`) re-checks cache, faults
         and scheduler kind on every arrival even though all three are
-        fixed for the whole run. Configurations that skip those branches
-        get a fused closure — semantically identical, minus the
-        per-arrival re-dispatch:
-
-        * no cache + no faults + online scheduler: choose + submit with
-          the scheduler-output invariant checks kept;
-        * additionally Heuristic + the columnar kernel: the closure
-          gathers placement and scores through the fleet directly — the
-          chosen disk is one of the request's replicas by construction,
-          so the read-placement re-check is redundant.
+        fixed for the whole run. A run with no cache, no faults and an
+        online scheduler gets a fused closure instead — choose + submit
+        with the scheduler-output invariant checks kept, semantically
+        identical minus the per-arrival re-dispatch.
         """
         if (
             self.cache is not None
@@ -286,77 +267,6 @@ class StorageSystem:
         scheduler = self._online_scheduler
         locations_by_data = self._locations_by_data
         disks = self._disks
-        engine = self._engine
-        if isinstance(scheduler, HeuristicScheduler) and self.fleet is not None:
-            fleet = self.fleet
-            fleet_choose = fleet.choose
-            cost_function = scheduler.cost_function
-            alpha = cost_function.alpha
-            beta = cost_function.beta
-            load_weight = cost_function.load_weight
-            # The replication factor is far below the kernel's cutoff, so
-            # every arrival takes FleetCostState.choose's scalar-gather
-            # branch — inline it over the captured columns (same
-            # arithmetic, same unrolled tie-break) and keep the method
-            # call for the general case.
-            pi = fleet.pi
-            const = fleet.const
-            tlast = fleet.tlast
-            queue = fleet.queue
-            cutoff = SMALL_CANDIDATE_CUTOFF
-            # Disk ids are dense (range(num_disks)), so a list of bound
-            # submit methods replaces the dict hash + attribute lookup
-            # on the hand-off.
-            submit_by_disk = [
-                disks[disk_id].submit for disk_id in range(len(disks))
-            ]
-
-            def heuristic_arrival(request: Request) -> None:
-                try:
-                    locations = locations_by_data[request.data_id]
-                except KeyError:
-                    raise PlacementError(f"unknown data id {request.data_id}")
-                if not locations:
-                    raise ReplicaUnavailableError(
-                        f"no live replica for data {request.data_id}"
-                    )
-                now = engine._now
-                if len(locations) < cutoff:
-                    best_disk = -1
-                    best_cost = 0.0
-                    best_queue = 0.0
-                    for disk_id in locations:
-                        energy = (
-                            (now - tlast[disk_id]) * pi[disk_id] + const[disk_id]
-                        )
-                        queue_length = queue[disk_id]
-                        cost = (
-                            energy * alpha / beta + queue_length * load_weight
-                        )
-                        if (
-                            best_disk < 0
-                            or cost < best_cost
-                            or (
-                                cost == best_cost
-                                and (
-                                    queue_length < best_queue
-                                    or (
-                                        queue_length == best_queue
-                                        and disk_id < best_disk
-                                    )
-                                )
-                            )
-                        ):
-                            best_cost = cost
-                            best_queue = queue_length
-                            best_disk = disk_id
-                else:
-                    best_disk = fleet_choose(
-                        locations, now, alpha, beta, load_weight
-                    )
-                submit_by_disk[best_disk](request)
-
-            return heuristic_arrival
         choose = scheduler.choose
 
         def online_arrival(request: Request) -> None:

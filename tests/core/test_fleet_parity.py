@@ -1,22 +1,23 @@
-"""Hypothesis parity: the columnar kernel vs the scalar reference path.
+"""Hypothesis parity: the schedulers' scalar Eq. 5/Eq. 6 path vs the oracle.
 
-The ``numpy`` kernel is only admissible because it is *bit-identical* to
-the scalar schedulers: same Eq. 5/Eq. 6 arithmetic (evaluation order
-included), same (cost, queue, disk id) tie-break. These properties pin
-that claim on randomly generated fleets, states and candidate sets —
-both kernel branches (scalar gather and vectorised pass) against the
-pure-Python :class:`~repro.core.heuristic.HeuristicScheduler` loop and
-the reference :func:`~repro.core.cost.energy_cost` evaluation.
+:class:`~repro.core.heuristic.HeuristicScheduler` inlines
+:meth:`~repro.core.cost.CostFunction.cost` in its per-arrival loop, and
+:class:`~repro.core.wsc.WSCBatchScheduler` weights covering disks through
+``_disk_weight``. Both must agree bit for bit with the reference
+evaluation — :meth:`CostFunction.cost` for Eq. 6 and
+:func:`~repro.core.cost.energy_cost` for Eq. 5 — and the heuristic must
+break ties on (cost, queue length, disk id). These properties pin that
+on randomly generated fleets, power states and candidate sets.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost import CostFunction, energy_cost
-from repro.core.fleet import FleetCostState
 from repro.core.heuristic import HeuristicScheduler
+from repro.core.wsc import WSCBatchScheduler
 from repro.power.profile import PAPER_EVAL
 from repro.power.states import DiskPowerState
 from repro.types import OpKind, Request
@@ -30,7 +31,8 @@ _STATES = tuple(DiskPowerState)
 
 
 class FakeDisk:
-    """Protocol-only disk view: forces the scalar energy_cost fallback."""
+    """Protocol-only disk view: no memo, so schedulers fall back to
+    :func:`energy_cost`."""
 
     def __init__(
         self,
@@ -44,7 +46,7 @@ class FakeDisk:
 
 
 class FakeView:
-    """SystemView without a ``fleet`` attribute: the scalar path."""
+    """Minimal :class:`~repro.core.scheduler.SystemView` over fake disks."""
 
     def __init__(
         self, disks: Dict[int, FakeDisk], locations: Tuple[int, ...]
@@ -61,32 +63,9 @@ class FakeView:
         return self._locations
 
 
-def _mirror(disks: Dict[int, FakeDisk]) -> FleetCostState:
-    """Encode the fake disks into fleet columns exactly as the drive
-    hooks do (ACTIVE/SPIN_UP zero; STANDBY/SPIN_DOWN memoised wake-up
-    constant; IDLE idle-power slope once ``Tlast`` is recorded)."""
-    fleet = FleetCostState(
-        len(disks), PAPER_EVAL, initial_state=DiskPowerState.IDLE
-    )
-    for disk_id, disk in disks.items():
-        if disk.last_request_time is not None:
-            fleet.tlast[disk_id] = disk.last_request_time
-        if disk.state in (DiskPowerState.STANDBY, DiskPowerState.SPIN_DOWN):
-            fleet.const[disk_id] = fleet.standby_marginal
-        elif (
-            disk.state is DiskPowerState.IDLE
-            and disk.last_request_time is not None
-        ):
-            fleet.pi[disk_id] = fleet.idle_power
-        fleet.queue[disk_id] = float(disk.queue_length)
-    return fleet
-
-
 @st.composite
 def fleet_instances(draw):
-    # Up to 40 disks so candidate sets straddle the scalar/vector
-    # cutoff (32) through the adaptive front door too.
-    num_disks = draw(st.integers(min_value=1, max_value=40))
+    num_disks = draw(st.integers(min_value=1, max_value=12))
     disks = {
         disk_id: FakeDisk(
             state=draw(st.sampled_from(_STATES)),
@@ -110,69 +89,47 @@ def fleet_instances(draw):
 @settings(max_examples=200, deadline=None)
 @given(fleet_instances())
 def test_choose_parity_including_ties(instance) -> None:
-    """Both kernel branches pick the scalar scheduler's exact disk."""
+    """choose() returns the (cost, queue, disk id) minimum of the oracle."""
     disks, candidates, cost_function = instance
     view = FakeView(disks, candidates)
-    scheduler = HeuristicScheduler(cost_function)
     request = Request(
         request_id=0, time=NOW, data_id=0, size_bytes=1, op=OpKind.READ
     )
-    expected = scheduler.choose(request, view)
-
-    fleet = _mirror(disks)
-    args = (
+    expected = min(
         candidates,
-        NOW,
-        cost_function.alpha,
-        cost_function.beta,
-        cost_function.load_weight,
+        key=lambda disk_id: (
+            cost_function.cost(disks[disk_id], NOW, PAPER_EVAL),
+            disks[disk_id].queue_length,
+            disk_id,
+        ),
     )
-    assert fleet.choose_scalar(*args) == expected
-    assert fleet.choose_vector(*args) == expected
-    assert fleet.choose(*args) == expected
+    assert HeuristicScheduler(cost_function).choose(request, view) == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(fleet_instances())
 def test_weights_parity_full_precision(instance) -> None:
-    """Eq. 6 weights match the scalar reference bit for bit."""
+    """WSC's Eq. 6 disk weights equal CostFunction.cost bit for bit."""
     disks, candidates, cost_function = instance
-    fleet = _mirror(disks)
-    expected: List[float] = []
+    view = FakeView(disks, candidates)
+    scheduler = WSCBatchScheduler(cost_function=cost_function)
     for disk_id in candidates:
-        disk = disks[disk_id]
-        energy = energy_cost(
-            disk.state, disk.last_request_time, NOW, PAPER_EVAL
-        )
-        expected.append(
-            energy * cost_function.alpha / cost_function.beta
-            + disk.queue_length * cost_function.load_weight
-        )
-    args = (
-        candidates,
-        NOW,
-        cost_function.alpha,
-        cost_function.beta,
-        cost_function.load_weight,
-    )
-    assert fleet.weights_scalar(*args) == expected
-    assert fleet.weights_vector(*args) == expected
-    assert fleet.weights(*args) == expected
+        expected = cost_function.cost(disks[disk_id], NOW, PAPER_EVAL)
+        assert scheduler._disk_weight(disk_id, view) == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(fleet_instances())
 def test_energies_parity_full_precision(instance) -> None:
-    """Eq. 5 energies match the reference evaluation bit for bit."""
-    disks, candidates, _ = instance
-    fleet = _mirror(disks)
-    expected = [
-        energy_cost(
-            disks[disk_id].state,
-            disks[disk_id].last_request_time,
-            NOW,
-            PAPER_EVAL,
+    """WSC's pure Eq. 5 disk weights equal energy_cost bit for bit."""
+    disks, candidates, cost_function = instance
+    view = FakeView(disks, candidates)
+    scheduler = WSCBatchScheduler(
+        cost_function=cost_function, use_cost_function=False
+    )
+    for disk_id in candidates:
+        disk = disks[disk_id]
+        expected = energy_cost(
+            disk.state, disk.last_request_time, NOW, PAPER_EVAL
         )
-        for disk_id in candidates
-    ]
-    assert fleet.energies(candidates, NOW) == expected
+        assert scheduler._disk_weight(disk_id, view) == expected

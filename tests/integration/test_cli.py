@@ -150,3 +150,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["figure", "fig99"])
         assert excinfo.value.code == 2
+
+    def test_tier_refuses_fault_rate(self, capsys):
+        """Tiered runs have no fault injection: the combination is a
+        usage error, not a silently fault-free run."""
+        code = main(["simulate", "--tier", "0.1", "--fault-rate", "0.01"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--fault-rate" in captured.err
+        assert "--tier" in captured.err
+        assert captured.out == ""

@@ -2,8 +2,8 @@
 
 ``repro-storage bench list`` groups bench ids by family so the tape
 benches are discoverable next to the figure/ablation/serve tiers; the
-smoke CLI pins the tape_tier sweep digest the same way the kernel and
-shard smokes do. Both contracts are cheap to regress and load-bearing
+smoke CLI pins the tape_tier sweep digest the same way the fig6
+(``kernel_smoke``) and shard smokes do. Both contracts are cheap to regress and load-bearing
 for CI, so they get their own tests.
 """
 
