@@ -1,23 +1,80 @@
-"""Lightweight weighted conflict graph.
+"""Weighted conflict graphs for the MWIS solvers.
 
-The MWIS scheduling algorithm builds a graph whose nodes are energy-saving
-terms ``X(i, j, k)`` and whose edges mark constraint violations. A custom
-adjacency-set structure (rather than networkx) keeps the hot path — degree
-queries and neighbourhood removal during greedy MWIS — allocation-free and
-fast for the tens of thousands of nodes full-scale traces produce.
+:class:`MWISGraph` is the read-only interface every solver in
+:mod:`repro.algorithms.independent_set` uses. :class:`ConflictGraph` is
+the explicit adjacency-set implementation, for general graphs: the
+NP-hardness reductions, the paper's worked examples and tests. The
+offline scheduler's saving-term graph is implicit instead
+(:class:`repro.core.mwis.TermConflictGraph`): its edges follow from a
+rule, so it is never materialised.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Protocol,
+    Sequence,
+    Set,
+    TypeVar,
+)
 
 from repro.errors import ConfigurationError
 
 NodeId = Hashable
+N = TypeVar("N", bound=Hashable)
 
 
-class ConflictGraph:
-    """Undirected graph with weighted nodes."""
+class MWISGraph(Protocol[N]):
+    """Read-only undirected graph with weighted nodes of type ``N``.
+
+    ``nodes`` lists the nodes in insertion order; the greedy solvers
+    break score ties on it. Implementations that subclass this protocol
+    inherit ``has_edge``, ``total_weight`` and ``is_independent_set``,
+    written over ``weight`` and ``neighbors``.
+    """
+
+    def __len__(self) -> int: ...
+
+    @property
+    def nodes(self) -> Sequence[N]: ...
+
+    @property
+    def num_edges(self) -> int: ...
+
+    def weight(self, node: N) -> float:
+        """The node's weight."""
+
+    def degree(self, node: N) -> int:
+        """Number of neighbours of ``node``."""
+
+    def neighbors(self, node: N) -> AbstractSet[N]:
+        """The node's neighbours, as a set the caller may keep."""
+
+    def has_edge(self, u: N, v: N) -> bool:
+        """True when ``u`` and ``v`` are adjacent."""
+        return v in self.neighbors(u)
+
+    def total_weight(self, nodes: Iterable[N]) -> float:
+        """Sum of the given nodes' weights, in the given order."""
+        return sum(self.weight(node) for node in nodes)
+
+    def is_independent_set(self, nodes: Iterable[N]) -> bool:
+        """True when no two of ``nodes`` are adjacent or repeated."""
+        selected = list(nodes)
+        selected_set = set(selected)
+        if len(selected_set) != len(selected):
+            return False
+        return not any(self.neighbors(node) & selected_set for node in selected)
+
+
+class ConflictGraph(MWISGraph[NodeId]):
+    """Undirected graph with weighted nodes and explicit adjacency sets."""
 
     def __init__(self) -> None:
         self._weights: Dict[NodeId, float] = {}
@@ -71,35 +128,8 @@ class ConflictGraph:
         return list(self._weights)
 
     @property
-    def edges(self) -> List[Tuple[NodeId, NodeId]]:
-        seen = set()
-        result = []
-        for u, neighbors in self._adjacency.items():
-            for v in neighbors:
-                key = frozenset((u, v))
-                if key not in seen:
-                    seen.add(key)
-                    result.append((u, v))
-        return result
-
-    @property
     def num_edges(self) -> int:
         return sum(len(n) for n in self._adjacency.values()) // 2
-
-    def total_weight(self, nodes: Iterable[NodeId]) -> float:
-        """Sum of the given nodes' weights."""
-        return sum(self._weights[node] for node in nodes)
-
-    def is_independent_set(self, nodes: Iterable[NodeId]) -> bool:
-        """True when no two of ``nodes`` are adjacent."""
-        selected = list(nodes)
-        selected_set = set(selected)
-        if len(selected_set) != len(selected):
-            return False
-        for node in selected:
-            if self._adjacency[node] & selected_set:
-                return False
-        return True
 
     def subgraph_without(self, removed: Set[NodeId]) -> "ConflictGraph":
         """Copy of the graph with ``removed`` nodes (and their edges) gone."""

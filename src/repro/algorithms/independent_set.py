@@ -23,41 +23,26 @@ which is why the paper accepts greedy solutions.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, Hashable, List, Set, Tuple
+import math
+from typing import Callable, Dict, Iterable, List, Sequence, Set, cast
 
-from repro.algorithms.graph import ConflictGraph
+from repro.algorithms.graph import MWISGraph, N
 from repro.errors import ConfigurationError
 
-NodeId = Hashable
+#: A greedy selection rule: ``score(weight, degree, closed_weight)`` is the
+#: value to *minimise* (negate for maximisation) for a node of the given
+#: weight, live degree and live closed-neighbourhood weight. The last
+#: argument is only computed for rules registered with ``closed_weight``.
+Scorer = Callable[[float, int, float], float]
 
-#: A greedy selection rule: value to *minimise* for ``node`` given the
-#: current weights and adjacency (negate for maximisation).
-Scorer = Callable[[NodeId, Dict[NodeId, float], Dict[NodeId, Set[NodeId]]], float]
-
-
-def _working_copy(
-    graph: ConflictGraph,
-) -> Tuple[Dict[NodeId, float], Dict[NodeId, Set[NodeId]]]:
-    weights = {node: graph.weight(node) for node in graph.nodes}
-    adjacency = {node: graph.neighbors(node) for node in graph.nodes}
-    return weights, adjacency
+#: The lazy heap is rebuilt from its current entries, one per live node,
+#: once its stale entries outnumber the live nodes this many times over,
+#: so it never holds more than ``(1 + HEAP_SLACK)`` entries per live node
+#: when an entry is popped.
+HEAP_SLACK = 2
 
 
-def _remove_closed_neighborhood(
-    node: NodeId,
-    weights: Dict[NodeId, float],
-    adjacency: Dict[NodeId, Set[NodeId]],
-) -> None:
-    to_remove = adjacency[node] | {node}
-    for victim in to_remove:
-        for neighbor in adjacency[victim]:
-            if neighbor not in to_remove:
-                adjacency[neighbor].discard(victim)
-        del adjacency[victim]
-        del weights[victim]
-
-
-def gwmin(graph: ConflictGraph) -> List[NodeId]:
+def gwmin(graph: MWISGraph[N]) -> List[N]:
     """GWMIN greedy: pick argmax ``w(v) / (deg(v) + 1)`` until empty.
 
     Ties break deterministically on node insertion order. Returns the
@@ -68,98 +53,128 @@ def gwmin(graph: ConflictGraph) -> List[NodeId]:
     O((V + E) log V) instead of the naive O(V^2) rescan — the difference
     between seconds and hours on full-scale trace graphs.
     """
-
-    def score(
-        node: NodeId,
-        weights: Dict[NodeId, float],
-        adjacency: Dict[NodeId, Set[NodeId]],
-    ) -> float:
-        return -weights[node] / (len(adjacency[node]) + 1)
-
-    return _lazy_heap_greedy(graph, score)
+    return _lazy_heap_greedy(graph, _gwmin_score)
 
 
-def _lazy_heap_greedy(graph: ConflictGraph, score: Scorer) -> List[NodeId]:
+def _gwmin_score(weight: float, degree: int, _closed: float) -> float:
+    return -weight / (degree + 1)
+
+
+def _lazy_heap_greedy(
+    graph: MWISGraph[N], score: Scorer, closed_weight: bool = False
+) -> List[N]:
     """Shared lazy-heap skeleton for the greedy MWIS family.
 
-    ``score(node, weights, adjacency)`` returns a value to *minimise*
-    (negate for maximisation). A node's score may only depend on its own
-    weight and its current neighbourhood, which is exactly what GWMIN,
-    GWMIN2 and min-degree need: scores change only when a vertex loses
-    neighbours, so stale heap entries are detected with per-node version
-    counters.
+    The graph is only read, never copied. Per-node version counters and
+    live-degree counters, indexed by node position, track the removals:
+    a removed node's version is -1. When a pick removes its closed
+    neighbourhood, every live neighbour of every victim loses one degree
+    per removed neighbour and is re-pushed once with a bumped version,
+    which marks its older heap entries stale. Heap keys are
+    ``(score, insertion order, version, node)``; once stale entries
+    outnumber the live nodes ``HEAP_SLACK`` times, the heap is rebuilt
+    from its current entries.
     """
-    weights, adjacency = _working_copy(graph)
-    selected: List[NodeId] = []
-    version: Dict[NodeId, int] = dict.fromkeys(weights, 0)
-    order: Dict[NodeId, int] = {node: i for i, node in enumerate(weights)}
+    nodes = graph.nodes
+    neighbours: Callable[[int], Iterable[int]]
+    if isinstance(nodes, range) and nodes.start == 0 and nodes.step == 1:
+        # Nodes are their own positions.
+        neighbours = cast(Callable[[int], Iterable[int]], graph.neighbors)
+    else:
+        position = {node: index for index, node in enumerate(nodes)}
 
-    def entry(node: NodeId) -> Tuple[float, int, int, NodeId]:
-        return (score(node, weights, adjacency), order[node], version[node], node)
+        def neighbour_positions(index: int) -> Iterable[int]:
+            return [position[other] for other in graph.neighbors(nodes[index])]
 
-    heap = [entry(node) for node in weights]
+        neighbours = neighbour_positions
+
+    count = len(nodes)
+    weights = [graph.weight(node) for node in nodes]
+    degree = [graph.degree(node) for node in nodes]
+    version = [0] * count
+    live = count
+
+    def closed(index: int) -> float:
+        if not closed_weight:
+            return 0.0
+        return math.fsum(
+            [weights[index]]
+            + [weights[other] for other in neighbours(index) if version[other] >= 0]
+        )
+
+    heap = [
+        (score(weights[index], degree[index], closed(index)), index, 0, nodes[index])
+        for index in range(count)
+    ]
     heapq.heapify(heap)
-    while weights:
-        _score, _order, entry_version, node = heapq.heappop(heap)
-        if node not in weights or version[node] != entry_version:
+    push, pop = heapq.heappush, heapq.heappop
+    selected: List[N] = []
+    while live:
+        _score, index, entry_version, node = pop(heap)
+        if version[index] != entry_version:
             continue
         selected.append(node)
-        removed = adjacency[node] | {node}
-        touched: Set[NodeId] = set()
-        for victim in removed:
-            for neighbor in adjacency[victim]:
-                if neighbor not in removed:
-                    adjacency[neighbor].discard(victim)
-                    touched.add(neighbor)
-            del adjacency[victim]
-            del weights[victim]
-            version.pop(victim, None)
-        for survivor in touched:
-            version[survivor] += 1
-            heapq.heappush(heap, entry(survivor))
+        victims = [other for other in neighbours(index) if version[other] >= 0]
+        version[index] = -1
+        for victim in victims:
+            version[victim] = -1
+        live -= len(victims) + 1
+        touched: Set[int] = set()
+        for victim in victims:
+            for other in neighbours(victim):
+                if version[other] >= 0:
+                    degree[other] -= 1
+                    touched.add(other)
+        for index in touched:
+            version[index] += 1
+            push(
+                heap,
+                (
+                    score(weights[index], degree[index], closed(index)),
+                    index,
+                    version[index],
+                    nodes[index],
+                ),
+            )
+        if len(heap) > (1 + HEAP_SLACK) * live:
+            heap = [item for item in heap if version[item[1]] == item[2]]
+            heapq.heapify(heap)
     return selected
 
 
-def gwmin2(graph: ConflictGraph) -> List[NodeId]:
+def gwmin2(graph: MWISGraph[N]) -> List[N]:
     """GWMIN2 greedy: pick argmax ``w(v) / w(N[v])`` until empty.
 
-    ``w(N[v])`` is the weight of the closed neighbourhood. Zero-weight
-    neighbourhoods (possible when every weight is 0) fall back to degree.
+    ``w(N[v])`` is the weight of the closed neighbourhood, summed exactly
+    (``math.fsum``) so it does not depend on neighbour enumeration order.
+    Zero-weight neighbourhoods (possible when every weight is 0) fall back
+    to degree.
     """
-
-    def score(
-        node: NodeId,
-        weights: Dict[NodeId, float],
-        adjacency: Dict[NodeId, Set[NodeId]],
-    ) -> float:
-        closed = weights[node] + sum(weights[n] for n in adjacency[node])
-        if closed <= 0:
-            return -1.0 / (len(adjacency[node]) + 1)
-        return -weights[node] / closed
-
-    return _lazy_heap_greedy(graph, score)
+    return _lazy_heap_greedy(graph, _gwmin2_score, closed_weight=True)
 
 
-def greedy_min_degree(graph: ConflictGraph) -> List[NodeId]:
+def _gwmin2_score(weight: float, degree: int, closed: float) -> float:
+    if closed <= 0:
+        return -1.0 / (degree + 1)
+    return -weight / closed
+
+
+def greedy_min_degree(graph: MWISGraph[N]) -> List[N]:
     """Unweighted classic: repeatedly take a minimum-degree vertex.
 
     The algorithm GMIN extends (Section 6 of the paper); included for
     ablations comparing weighted vs unweighted selection.
     """
+    return _lazy_heap_greedy(graph, _min_degree_score)
 
-    def score(
-        node: NodeId,
-        weights: Dict[NodeId, float],
-        adjacency: Dict[NodeId, Set[NodeId]],
-    ) -> float:
-        return float(len(adjacency[node]))
 
-    return _lazy_heap_greedy(graph, score)
+def _min_degree_score(_weight: float, degree: int, _closed: float) -> float:
+    return float(degree)
 
 
 def exact_mwis(
-    graph: ConflictGraph, max_nodes: int = 40
-) -> List[NodeId]:
+    graph: MWISGraph[N], max_nodes: int = 40
+) -> List[N]:
     """Optimal MWIS by branch and bound (small graphs only).
 
     Branches on the highest-weight remaining vertex (include/exclude) with
@@ -184,7 +199,7 @@ def exact_mwis(
     best_weight = incumbent_weight
 
     def search(
-        candidates: List[NodeId], current: List[NodeId], current_weight: float
+        candidates: List[N], current: List[N], current_weight: float
     ) -> None:
         nonlocal best_set, best_weight
         if not candidates:
@@ -206,13 +221,13 @@ def exact_mwis(
     return best_set
 
 
-def independence_check(graph: ConflictGraph, nodes: List[NodeId]) -> None:
+def independence_check(graph: MWISGraph[N], nodes: Sequence[N]) -> None:
     """Raise if ``nodes`` is not an independent set of ``graph``."""
     if not graph.is_independent_set(nodes):
         raise ConfigurationError("selected nodes are not an independent set")
 
 
-def gwmin_weight_bound(graph: ConflictGraph) -> float:
+def gwmin_weight_bound(graph: MWISGraph[N]) -> float:
     """Sakai et al.'s lower bound: ``sum_v w(v) / (deg(v) + 1)``.
 
     Any GWMIN solution is guaranteed to weigh at least this much — a
@@ -223,9 +238,9 @@ def gwmin_weight_bound(graph: ConflictGraph) -> float:
     )
 
 
-def solve_mwis(graph: ConflictGraph, method: str = "gwmin") -> List[NodeId]:
+def solve_mwis(graph: MWISGraph[N], method: str = "gwmin") -> List[N]:
     """Dispatch by method name: gwmin | gwmin2 | min-degree | exact."""
-    solvers = {
+    solvers: Dict[str, Callable[[MWISGraph[N]], List[N]]] = {
         "gwmin": gwmin,
         "gwmin2": gwmin2,
         "min-degree": greedy_min_degree,

@@ -31,10 +31,13 @@ Tractability notes (documented deviations, both configurable off):
 from __future__ import annotations
 
 import bisect
+from array import array
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, chain
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.algorithms.graph import ConflictGraph
+from repro.algorithms.graph import MWISGraph
 from repro.algorithms.independent_set import solve_mwis
 from repro.core.problem import SchedulingProblem
 from repro.core.saving import SavingTerm, gap_energy, max_request_energy, saving_window
@@ -52,7 +55,9 @@ class MWISResult:
         selected: The independent set of saving terms, in pick order.
         estimated_saving: Total weight of ``selected`` — a lower bound on
             the schedule's true energy saving.
-        num_nodes / num_edges: Size of the constructed conflict graph.
+        num_nodes / num_edges: Size of the conflict graph.
+        upper_bound: :func:`mwis_upper_bound` of the graph's terms — no
+            independent set weighs more than this.
     """
 
     assignment: Assignment
@@ -60,6 +65,133 @@ class MWISResult:
     estimated_saving: float
     num_nodes: int
     num_edges: int
+    upper_bound: float
+
+
+class TermConflictGraph(MWISGraph[int]):
+    """The saving terms' conflict graph, with its edges left implicit.
+
+    Two terms conflict exactly when they share a request, unless they
+    form a same-disk pass-through ``X(i, j, k)``, ``X(j, l, k)``: that
+    chain is what a schedule is made of. Sharing a predecessor, sharing a
+    successor, or sharing a request on different disks are all
+    conflicts (:meth:`SavingTerm.conflicts_with` states the same rule
+    pairwise).
+
+    So the graph stores only flat columns — each term's predecessor and
+    successor (as dense request indices), disk and weight — and the term
+    indices grouped by request in CSR form: ``members[offsets[r]:
+    offsets[r + 1]]`` lists every term touching request ``r``, in term
+    order. Neighbours are enumerated on demand from a term's two groups;
+    degrees are counted per group when the graph is built. Memory is
+    O(terms), not O(edges). Nodes are the term indices ``0..n-1``.
+    """
+
+    def __init__(self, terms: Sequence[SavingTerm]) -> None:
+        request_index: Dict[RequestId, int] = {}
+        self._pred = array("i")
+        self._succ = array("i")
+        self._disk = array("i")
+        self._weight = array("d")
+        for term in terms:
+            self._pred.append(
+                request_index.setdefault(term.predecessor, len(request_index))
+            )
+            self._succ.append(
+                request_index.setdefault(term.successor, len(request_index))
+            )
+            self._disk.append(term.disk)
+            self._weight.append(term.weight)
+
+        group_sizes = [0] * len(request_index)
+        for request in chain(self._pred, self._succ):
+            group_sizes[request] += 1
+        self._offsets = array("i", [0, *accumulate(group_sizes)])
+        cursor = self._offsets.tolist()
+        self._members = array("i", [0]) * (2 * len(terms))
+        for index, pair in enumerate(zip(self._pred, self._succ)):
+            for request in pair:
+                self._members[cursor[request]] = index
+                cursor[request] += 1
+        self._degree = self._count_degrees()
+
+    def _count_degrees(self) -> "array[int]":
+        """Every term's degree, from per-request group counts.
+
+        A term ``(p, s, d)`` neighbours every other term of its two groups
+        except the pass-throughs ``(x, p, d)`` and ``(s, y, d)``, and
+        counts the other terms on its own pair ``(p, s, d')``, which sit
+        in both groups, once.
+        """
+        pred, succ, disk = self._pred, self._succ, self._disk
+        offsets, members = self._offsets, self._members
+        degree = array("i", [0]) * len(pred)
+        for request in range(len(offsets) - 1):
+            group = members[offsets[request] : offsets[request + 1]]
+            starting = Counter(disk[t] for t in group if pred[t] == request)
+            ending = Counter(disk[t] for t in group if succ[t] == request)
+            pairs = Counter(succ[t] for t in group if pred[t] == request)
+            others = len(group) - 1
+            for term in group:
+                if pred[term] == request:
+                    degree[term] += (
+                        others - ending[disk[term]] - (pairs[succ[term]] - 1)
+                    )
+                else:
+                    degree[term] += others - starting[disk[term]]
+        return degree
+
+    def __len__(self) -> int:
+        return len(self._weight)
+
+    @property
+    def nodes(self) -> range:
+        return range(len(self._weight))
+
+    @property
+    def num_edges(self) -> int:
+        return sum(self._degree) // 2
+
+    def weight(self, node: int) -> float:
+        """The term's Eq. 3 saving."""
+        return self._weight[node]
+
+    def degree(self, node: int) -> int:
+        """Number of terms conflicting with ``node``."""
+        return self._degree[node]
+
+    def neighbors(self, node: int) -> Set[int]:
+        """The terms conflicting with ``node``, enumerated from its groups."""
+        pred, succ, disk = self._pred, self._succ, self._disk
+        offsets, members = self._offsets, self._members
+        p, s, d = pred[node], succ[node], disk[node]
+        result = {
+            other
+            for other in members[offsets[p] : offsets[p + 1]]
+            if succ[other] != p or disk[other] != d
+        }
+        result |= {
+            other
+            for other in members[offsets[s] : offsets[s + 1]]
+            if pred[other] != s or disk[other] != d
+        }
+        result.discard(node)
+        return result
+
+
+def mwis_upper_bound(terms: Iterable[SavingTerm]) -> float:
+    """Clique-cover bound on the MWIS weight of the terms' conflict graph.
+
+    Terms sharing a predecessor pairwise conflict, so each predecessor's
+    terms form a clique, and these cliques partition the terms. An
+    independent set holds at most one term per clique, so it weighs at
+    most the sum over predecessors of their heaviest term.
+    """
+    heaviest: Dict[RequestId, float] = {}
+    for term in terms:
+        if term.weight > heaviest.get(term.predecessor, 0.0):
+            heaviest[term.predecessor] = term.weight
+    return sum(heaviest.values())
 
 
 class MWISOfflineScheduler(OfflineScheduler):
@@ -84,12 +216,10 @@ class MWISOfflineScheduler(OfflineScheduler):
 
     def build_graph(
         self, problem: SchedulingProblem
-    ) -> Tuple[ConflictGraph, List[SavingTerm]]:
+    ) -> Tuple[TermConflictGraph, List[SavingTerm]]:
         """Construct the conflict graph of saving terms.
 
-        Graph nodes are integer indices into the returned term list —
-        full-scale traces produce hundreds of thousands of terms, and
-        integer nodes keep the solver's hashing cost negligible.
+        Graph nodes are integer indices into the returned term list.
         """
         profile = problem.profile
         window = saving_window(profile)
@@ -116,36 +246,7 @@ class MWISOfflineScheduler(OfflineScheduler):
                     if term is not None:
                         terms.append(term)
 
-        graph = ConflictGraph()
-        for index, term in enumerate(terms):
-            graph.add_node(index, term.weight)
-
-        # Group terms by the requests they touch; conflicts only ever occur
-        # between terms sharing a request, so pairwise checks stay local.
-        # The conflict test is inlined over plain tuples — this is the hot
-        # loop of the whole scheduler.
-        touching: Dict[RequestId, List[int]] = {}
-        flat: List[Tuple[RequestId, RequestId, DiskId]] = []
-        for index, term in enumerate(terms):
-            flat.append((term.predecessor, term.successor, term.disk))
-            touching.setdefault(term.predecessor, []).append(index)
-            touching.setdefault(term.successor, []).append(index)
-        add_edge = graph.add_edge
-        for group in touching.values():
-            group_size = len(group)
-            for position in range(group_size):
-                index_a = group[position]
-                pred_a, succ_a, disk_a = flat[index_a]
-                for other in range(position + 1, group_size):
-                    index_b = group[other]
-                    pred_b, succ_b, disk_b = flat[index_b]
-                    if (
-                        pred_a == pred_b
-                        or succ_a == succ_b
-                        or disk_a != disk_b
-                    ):
-                        add_edge(index_a, index_b)
-        return graph, terms
+        return TermConflictGraph(terms), terms
 
     # -- Step 3 + 4 ----------------------------------------------------
 
@@ -166,6 +267,7 @@ class MWISOfflineScheduler(OfflineScheduler):
             estimated_saving=graph.total_weight(selected_ids),
             num_nodes=len(graph),
             num_edges=graph.num_edges,
+            upper_bound=mwis_upper_bound(terms),
         )
 
     def schedule(self, problem: SchedulingProblem) -> Assignment:

@@ -70,7 +70,7 @@ def gap_energy(gap: float, profile: DiskPowerProfile) -> float:
     return max_request_energy(profile)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SavingTerm:
     """One node ``X(i, j, k)`` of the MWIS graph.
 

@@ -9,16 +9,18 @@ invariants checked are the load-bearing claims of Section 3.1:
   interleaving subtlety makes it a lower bound, not an equality);
 * objective energy == N * EPmax - true saving (the formulation identity);
 * the exact solver is never beaten by any feasible schedule (optimality
-  on brute-forceable instances).
+  on brute-forceable instances);
+* Sakai's bound <= GWMIN <= exact <= the clique-cover upper bound.
 """
 
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.mwis import MWISOfflineScheduler
+from repro.algorithms.independent_set import exact_mwis, gwmin, gwmin_weight_bound
+from repro.core.mwis import MWISOfflineScheduler, mwis_upper_bound
 from repro.core.offline import OfflineEvaluator
 from repro.core.problem import SchedulingProblem
 from repro.placement.catalog import PlacementCatalog
@@ -125,3 +127,19 @@ def test_every_request_energy_bounded_by_epmax(problem):
     epmax = problem.profile.max_request_energy
     for energy in evaluation.request_energy.values():
         assert -1e-9 <= energy <= epmax + 1e-9
+
+
+@given(problem=small_problems())
+@settings(max_examples=60, deadline=None)
+def test_solutions_lie_between_lower_and_upper_bounds(problem):
+    """gwmin_weight_bound <= gwmin <= exact <= clique-cover upper bound."""
+    scheduler = MWISOfflineScheduler(neighborhood=None)
+    graph, terms = scheduler.build_graph(problem)
+    assume(len(graph) <= 40)
+    greedy = graph.total_weight(gwmin(graph))
+    exact = graph.total_weight(exact_mwis(graph))
+    upper = mwis_upper_bound(terms)
+    assert gwmin_weight_bound(graph) <= greedy + 1e-9
+    assert greedy <= exact + 1e-9
+    assert exact <= upper + 1e-9
+    assert scheduler.schedule_detailed(problem).upper_bound == upper
