@@ -12,6 +12,8 @@ bisecting a full experiment:
   live :class:`StorageSystem` view (Eq. 5 evaluation per replica).
 * ``storage_dispatch`` — a small end-to-end trace replay (arrival →
   cost → dispatch → service → completion).
+* ``bind`` — the set-up path at paper scale: cello trace generation,
+  :class:`~repro.traces.Workload` and an rf=3 placement, cold (no memo).
 * ``tape_plan_{nearest,ltsp}_{10,100,1000}`` — LTSP sequencer
   ``plan()`` over a fixed pending batch at three queue depths.
 * ``perf_core`` — the headline number: events/sec of the fig6 workload
@@ -186,6 +188,24 @@ def bench_storage_dispatch(
     )
 
 
+def bench_bind(scale: float = 1.0, seed: int = 1) -> MicrobenchResult:
+    """Set-up throughput: generate a cello trace, build its workload and
+    place it at rf=3 the way the harness does, timed as one region."""
+    from repro.experiments.harness.runner import num_disks_for
+    from repro.placement.schemes import ZipfOriginalUniformReplicas
+    from repro.traces import CelloLikeConfig, Workload, generate_cello_like
+
+    started = time.perf_counter()
+    records = generate_cello_like(CelloLikeConfig().scaled(scale), seed=seed)
+    requests, _catalog = Workload(records).bind(
+        ZipfOriginalUniformReplicas(replication_factor=3, zipf_exponent=1.0),
+        num_disks=num_disks_for(scale),
+        seed=seed + 7,
+    )
+    wall_s = time.perf_counter() - started
+    return MicrobenchResult("bind", len(requests), wall_s)
+
+
 def bench_tape_plan(
     policy: str, queue_depth: int, iterations: int = 200, seed: int = 1
 ) -> MicrobenchResult:
@@ -308,6 +328,7 @@ def run_suite(
             scale=min(scale, 0.1), seed=seed, repeats=1 if quick else 3
         ),
         bench_storage_dispatch(scale=min(scale, 0.05), seed=seed),
+        bench_bind(scale=0.05 if quick else 1.0, seed=seed),
     ]
     for policy in ("nearest", "ltsp"):
         for queue_depth in (10, 100, 1000):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, PlacementError
 from repro.placement.catalog import PlacementCatalog
@@ -71,14 +71,11 @@ class ZipfOriginalUniformReplicas(PlacementScheme):
         _validate(num_disks, self.replication_factor)
         sampler = ZipfSampler(num_disks, self.zipf_exponent)
         rank_to_disk = rank_permutation(num_disks, rng)
+        count = self.replication_factor - 1
         locations: Dict[DataId, List[DiskId]] = {}
         for data_id in data_ids:
             original = rank_to_disk[sampler.sample(rng)]
-            disks = [original]
-            disks.extend(
-                _uniform_distinct(rng, num_disks, self.replication_factor - 1, disks)
-            )
-            locations[data_id] = disks
+            locations[data_id] = _draw_disks(rng, num_disks, count, original)
         return PlacementCatalog(locations)
 
 
@@ -94,12 +91,8 @@ class UniformPlacement(PlacementScheme):
         self, data_ids: Sequence[DataId], num_disks: int, rng: random.Random
     ) -> PlacementCatalog:
         _validate(num_disks, self.replication_factor)
-        locations: Dict[DataId, List[DiskId]] = {}
-        for data_id in data_ids:
-            locations[data_id] = _uniform_distinct(
-                rng, num_disks, self.replication_factor, []
-            )
-        return PlacementCatalog(locations)
+        count = self.replication_factor
+        return PlacementCatalog({d: _draw_disks(rng, num_disks, count) for d in data_ids})
 
 
 class PackedPlacement(PlacementScheme):
@@ -124,26 +117,28 @@ class PackedPlacement(PlacementScheme):
         self, data_ids: Sequence[DataId], num_disks: int, rng: random.Random
     ) -> PlacementCatalog:
         _validate(num_disks, self.replication_factor)
+        count = self.replication_factor - 1
         locations: Dict[DataId, List[DiskId]] = {}
         for index, data_id in enumerate(data_ids):
             original = min(index // self.items_per_disk, num_disks - 1)
-            disks = [original]
-            disks.extend(
-                _uniform_distinct(rng, num_disks, self.replication_factor - 1, disks)
-            )
-            locations[data_id] = disks
+            locations[data_id] = _draw_disks(rng, num_disks, count, original)
         return PlacementCatalog(locations)
 
 
-def _uniform_distinct(
-    rng: random.Random, num_disks: int, count: int, exclude: Sequence[DiskId]
+def _draw_disks(
+    rng: random.Random, num_disks: int, count: int, original: Optional[DiskId] = None
 ) -> List[DiskId]:
-    """Draw ``count`` distinct disks uniformly, avoiding ``exclude``."""
-    if count == 0:
-        return []
-    available = [disk for disk in range(num_disks) if disk not in set(exclude)]
-    if count > len(available):
-        raise PlacementError(
-            f"cannot pick {count} distinct disks from {len(available)} remaining"
-        )
-    return rng.sample(available, count)
+    """``original`` (if given), then ``count`` distinct disks drawn uniformly.
+
+    With ``original`` the draw is over the ``num_disks - 1`` other disks:
+    sample index ``j`` names disk ``j + (j >= original)``. ``rng.sample``
+    sees a population as large as a list of the other disks, so it makes
+    the same draws, in O(count) instead of O(num_disks).
+    """
+    if original is None:
+        return rng.sample(range(num_disks), count)
+    if not count:
+        return [original]
+    return [original] + [
+        j + (j >= original) for j in rng.sample(range(num_disks - 1), count)
+    ]

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable, List
 
 from repro.errors import ConfigurationError, TraceFormatError
-from repro.traces.record import TraceRecord
-from repro.traces.synthetic import PoissonArrivals, ZipfPopularity
+from repro.traces.record import RECORD_ORDER, TraceRecord
+from repro.traces.synthetic import PoissonArrivals, ZipfPopularity, zipf_records
 from repro.types import DEFAULT_REQUEST_BYTES, OpKind
 
 
@@ -72,18 +72,9 @@ def generate_financial_like(
         config.num_requests, rng
     )
     popularity = ZipfPopularity(config.num_data, config.popularity_exponent)
-    records = []
-    for arrival in arrivals:
-        op = OpKind.READ if rng.random() < config.read_fraction else OpKind.WRITE
-        records.append(
-            TraceRecord(
-                time=arrival,
-                data_key=popularity.sample(rng),
-                op=op,
-                size_bytes=config.size_bytes,
-            )
-        )
-    return records
+    return zipf_records(
+        arrivals, popularity, config.read_fraction, config.size_bytes, rng
+    )
 
 
 def parse_spc(lines: Iterable[str]) -> List[TraceRecord]:
@@ -130,5 +121,5 @@ def parse_spc(lines: Iterable[str]) -> List[TraceRecord]:
         )
         for timestamp, data_key, is_read, size in parsed
     ]
-    raw.sort()
+    raw.sort(key=RECORD_ORDER)
     return raw

@@ -19,10 +19,12 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
-from typing import List
+from typing import List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.placement.zipf import ZipfSampler
+from repro.traces.record import TraceRecord
+from repro.types import OpKind
 
 
 class ArrivalProcess(ABC):
@@ -162,6 +164,26 @@ class ZipfPopularity:
     def sample(self, rng: random.Random) -> int:
         """Draw one item index (0 = hottest)."""
         return self._sampler.sample(rng)
+
+
+def zipf_records(
+    arrivals: Sequence[float],
+    popularity: ZipfPopularity,
+    read_fraction: float,
+    size_bytes: int,
+    rng: random.Random,
+) -> List[TraceRecord]:
+    """The synthetic generators' record loop: one record per arrival.
+
+    Each record draws its op first (a read with probability
+    ``read_fraction``), then its data key from ``popularity``.
+    """
+    draw, sample = rng.random, popularity.sample
+    records: List[TraceRecord] = []
+    for arrival in arrivals:
+        op = OpKind.READ if draw() < read_fraction else OpKind.WRITE
+        records.append(TraceRecord(arrival, sample(rng), op, size_bytes))
+    return records
 
 
 def coefficient_of_variation(values: List[float]) -> float:

@@ -19,7 +19,7 @@ import random
 from typing import List, Sequence
 
 from repro.errors import ConfigurationError
-from repro.traces.record import TraceRecord
+from repro.traces.record import RECORD_ORDER, TraceRecord
 from repro.types import OpKind
 
 
@@ -27,7 +27,7 @@ def slice_requests(records: Sequence[TraceRecord], count: int) -> List[TraceReco
     """The first ``count`` records in time order (paper-style slicing)."""
     if count < 0:
         raise ConfigurationError("count must be >= 0")
-    return sorted(records)[:count]
+    return sorted(records, key=RECORD_ORDER)[:count]
 
 
 def time_window(
@@ -37,7 +37,7 @@ def time_window(
     at t = 0."""
     if end <= start:
         raise ConfigurationError("window end must exceed start")
-    selected = [r for r in sorted(records) if start <= r.time < end]
+    selected = [r for r in sorted(records, key=RECORD_ORDER) if start <= r.time < end]
     return [
         TraceRecord(
             time=r.time - start,
@@ -67,7 +67,7 @@ def scale_rate(
             op=r.op,
             size_bytes=r.size_bytes,
         )
-        for r in sorted(records)
+        for r in sorted(records, key=RECORD_ORDER)
     ]
 
 
@@ -88,7 +88,7 @@ def merge_traces(*traces: Sequence[TraceRecord]) -> List[TraceRecord]:
                     size_bytes=record.size_bytes,
                 )
             )
-    merged.sort()
+    merged.sort(key=RECORD_ORDER)
     return merged
 
 
@@ -109,5 +109,5 @@ def with_read_fraction(
             op=OpKind.READ if rng.random() < read_fraction else OpKind.WRITE,
             size_bytes=r.size_bytes,
         )
-        for r in sorted(records)
+        for r in sorted(records, key=RECORD_ORDER)
     ]

@@ -11,13 +11,14 @@ rely on), and produces the request stream ``R`` plus summary statistics.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.placement.catalog import PlacementCatalog
 from repro.placement.schemes import PlacementScheme
-from repro.traces.record import TraceRecord
+from repro.traces.record import RECORD_ORDER, TraceRecord
 from repro.traces.synthetic import coefficient_of_variation, inter_arrival_gaps
 from repro.types import DataId, OpKind, Request
 
@@ -54,15 +55,13 @@ class Workload:
             raise ConfigurationError("workload needs at least one trace record")
         selected = [
             record
-            for record in sorted(records)
+            for record in sorted(records, key=RECORD_ORDER)
             if include_writes or record.op is OpKind.READ
         ]
         if not selected:
             raise ConfigurationError("no read records in trace")
         # Popularity census first, so data ids are dense and sorted by heat.
-        counts: Dict[Hashable, int] = {}
-        for record in selected:
-            counts[record.data_key] = counts.get(record.data_key, 0) + 1
+        counts = Counter(record.data_key for record in selected)
         by_popularity = sorted(counts.items(), key=lambda kv: (-kv[1], repr(kv[0])))
         self._data_id_of: Dict[Hashable, DataId] = {
             key: data_id for data_id, (key, _count) in enumerate(by_popularity)
@@ -71,14 +70,8 @@ class Workload:
             self._data_id_of[key]: count for key, count in counts.items()
         }
         self._requests: List[Request] = [
-            Request(
-                time=record.time,
-                request_id=index,
-                data_id=self._data_id_of[record.data_key],
-                size_bytes=record.size_bytes,
-                op=record.op,
-            )
-            for index, record in enumerate(selected)
+            Request(r.time, index, self._data_id_of[r.data_key], r.size_bytes, r.op)
+            for index, r in enumerate(selected)
         ]
 
     @property

@@ -9,6 +9,7 @@ from repro.perf.microbench import (
     DEFAULT_GATE_TOLERANCE,
     PRE_PR_BASELINE_EPS,
     MicrobenchResult,
+    bench_bind,
     bench_engine_dispatch,
     bench_timer_churn,
     build_parser,
@@ -36,6 +37,7 @@ def test_suite_records_every_microbench(quick_payload):
         "timer_churn",
         "scheduler_choose",
         "storage_dispatch",
+        "bind",
     }
     for policy in ("nearest", "ltsp"):
         for queue_depth in (10, 100, 1000):
@@ -63,6 +65,13 @@ def test_engine_dispatch_counts_every_posted_event():
 def test_timer_churn_runs_the_requested_rounds():
     result = bench_timer_churn(num_timers=16, rounds=3)
     assert result.iterations == 3 * (16 + 8 + 8)
+
+
+def test_bind_counts_every_bound_request():
+    result = bench_bind(scale=0.02)
+    assert result.name == "bind"
+    assert result.iterations == 1400  # CelloLikeConfig().scaled(0.02), all reads
+    assert result.wall_s > 0
 
 
 def test_rate_of_zero_wall_is_zero():
