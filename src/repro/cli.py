@@ -404,18 +404,6 @@ def _run_bench(args: argparse.Namespace) -> int:
                 print(
                     f"  {definition.bench_id:24s} {definition.description}"
                 )
-        orphans = [
-            definition
-            for definition in bench_mod.BENCHES.values()
-            if definition.family not in bench_mod.BENCH_FAMILIES
-        ]
-        if orphans:
-            print()
-            print("other:")
-            for definition in orphans:
-                print(
-                    f"  {definition.bench_id:24s} {definition.description}"
-                )
         return 0
 
     cache = RunCache(enabled=False) if args.no_cache else None

@@ -52,7 +52,7 @@ from repro.experiments.fault_sweep import (
     run_fault_sweep,
 )
 from repro.experiments.harness.cache import RunCache
-from repro.experiments.harness.runner import SweepOutcome, SweepRunner
+from repro.experiments.harness.runner import SweepOutcome, SweepRunner, num_disks_for
 from repro.experiments.harness.schema import BENCH_SCHEMA, validate_bench_payload
 from repro.experiments.harness.spec import RunSpec, baseline_of, cell_spec
 from repro.experiments.headline import headline_claims
@@ -485,7 +485,9 @@ def run_bench(
 
     Returns the (validated) document and the path it was written to.
     Raises :class:`~repro.errors.ConfigurationError` on an unknown bench
-    id or if the assembled document violates the bench schema.
+    id, before any cell runs if a spec's replication factor exceeds its
+    scale's disk count, or if the assembled document violates the bench
+    schema.
     """
     try:
         bench = BENCHES[bench_id]
@@ -502,6 +504,14 @@ def run_bench(
 
     started = time.perf_counter()
     specs = bench.specs(common.SCALE, common.MWIS_SCALE, common.BASE_SEED)
+    for spec in specs:
+        disks = num_disks_for(spec.scale)
+        if spec.replication_factor > disks:
+            raise ConfigurationError(
+                f"bench {bench_id} at scale {spec.scale} has {disks} disks, "
+                f"fewer than its replication factor {spec.replication_factor}; "
+                "raise --scale / --mwis-scale"
+            )
     outcome = SweepRunner(cache=cache, jobs=jobs).run(specs)
     common.prime_payloads(outcome.payloads)
     result, extra_events = bench.result(scale)

@@ -59,17 +59,23 @@ class PhaseStats:
 class _Phase:
     """Context manager measuring one entry of one phase."""
 
-    __slots__ = ("_profiler", "_name", "_started_s", "_alloc_before")
+    __slots__ = (
+        "_profiler", "_name", "_started_s", "_alloc_before", "_started_tracing"
+    )
 
     def __init__(self, profiler: "Profiler", name: str) -> None:
         self._profiler = profiler
         self._name = name
         self._started_s = 0.0
         self._alloc_before = 0
+        self._started_tracing = False
 
     def __enter__(self) -> None:
         if self._profiler.track_allocations:
-            if not tracemalloc.is_tracing():
+            # Tracing slows every later allocation in the process, so the
+            # phase that starts it also stops it.
+            self._started_tracing = not tracemalloc.is_tracing()
+            if self._started_tracing:
                 tracemalloc.start()
             self._alloc_before = tracemalloc.get_traced_memory()[0]
         self._started_s = time.perf_counter()
@@ -83,6 +89,8 @@ class _Phase:
             grown = tracemalloc.get_traced_memory()[0] - self._alloc_before
             if grown > 0:
                 stats.alloc_bytes += grown
+            if self._started_tracing:
+                tracemalloc.stop()
 
 
 class Profiler:

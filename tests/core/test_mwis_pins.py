@@ -1,16 +1,13 @@
-"""The offline MWIS scheduler on a real cello cell: picks and memory.
+"""The offline MWIS scheduler on real cello cells: picks and memory.
 
-* The terms GWMIN selects, in pick order, must hash to the digests in
-  ``data/mwis_selection.sha256`` (see ``data/README.md``).
-* Building the conflict graph and solving it must take memory linear in
-  the number of terms, and the greedy's lazy heap must stay within its
-  compaction bound.
+GWMIN's picks must match the ``mwis rf=<rf>`` lines of the pin registry
+(``tests/test_pins.py``). Building the conflict graph and solving it must
+take memory linear in the number of terms, and the greedy's lazy heap
+must stay within its compaction bound.
 """
 
-import hashlib
 import heapq
 import tracemalloc
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -20,8 +17,7 @@ from repro.core.mwis import MWISOfflineScheduler
 from repro.core.problem import SchedulingProblem
 from repro.experiments.harness.runner import get_binding
 from repro.power.profile import get_profile
-
-PIN = Path(__file__).parent / "data" / "mwis_selection.sha256"
+from tests.test_pins import assert_pinned, mwis_digests
 
 #: Peak traced bytes per saving term allowed for build + solve.
 BYTES_PER_TERM = 2 * 1024
@@ -38,16 +34,9 @@ def scheduler():
     return MWISOfflineScheduler(method="gwmin", neighborhood=4)
 
 
-def selection_digest(selected):
-    text = "".join(f"{t.predecessor} {t.successor} {t.disk}\n" for t in selected)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-@pytest.mark.parametrize("replication_factor", [3, 5])
-def test_gwmin_selection_matches_pin(replication_factor):
-    pins = dict(line.split() for line in PIN.read_text().splitlines())
-    result = scheduler().schedule_detailed(cello_problem(replication_factor))
-    assert selection_digest(result.selected) == pins[f"rf={replication_factor}"]
+@pytest.mark.parametrize("rf", [3, 5])
+def test_gwmin_selection_matches_pin(rf, tmp_path):
+    assert_pinned(f"mwis rf={rf}", mwis_digests(tmp_path, rfs=(rf,)))
 
 
 def test_build_and_solve_memory_is_linear_in_terms(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import common
+from repro.experiments.harness import runner
 from repro.experiments.harness.schema import validate_bench_file
 
 
@@ -145,6 +146,20 @@ class TestExitCodes:
     def test_bench_unknown_name_exits_one(self, capsys):
         assert main(["bench", "no-such-bench"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_bench_refuses_more_replicas_than_disks(self, capsys, monkeypatch, tmp_path):
+        """Below scale ~0.014 a scale has 2 disks, fewer than fig6's
+        rf=3..5 cells: refused before any cell runs, not midway."""
+        computed = []
+        monkeypatch.setattr(runner, "execute_spec", computed.append)
+        argv = ["bench", "fig6", "--scale", "0.01", "--mwis-scale", "0.01", "--no-cache"]
+        assert main([*argv, "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "scale 0.01" in err
+        assert "2 disks" in err
+        assert "replication factor 3" in err
+        assert computed == []
+        assert not (tmp_path / "BENCH_fig6.json").exists()
 
     def test_usage_errors_exit_two(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,6 +1,7 @@
 """Microbench suite: schema-valid documents and a working regression gate."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,9 @@ from repro.perf.microbench import (
     check_regression,
     run_suite,
 )
+
+#: The committed perf ledger that CI's regression gate compares against.
+LEDGER = Path(__file__).resolve().parents[2] / "BENCH_perf_core.json"
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +50,9 @@ def test_suite_records_every_microbench(quick_payload):
     for measurement in micro.values():
         assert measurement["iterations"] > 0
         assert measurement["rate_per_s"] > 0
+    # The committed ledger records the same suite, name for name.
+    ledger = json.loads(LEDGER.read_text())
+    assert set(ledger["result"]["microbench"]) == expected
 
 
 def test_suite_reports_speedup_vs_recorded_baseline(quick_payload):

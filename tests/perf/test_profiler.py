@@ -1,5 +1,7 @@
 """Profiler behaviour: zero-cost when off, accurate when on."""
 
+import tracemalloc
+
 import pytest
 
 from repro.perf.profiler import (
@@ -99,6 +101,9 @@ def test_track_allocations_records_bytes():
     (stats,) = profiler.phases
     assert stats.alloc_bytes >= 256 * 1024
     del sink
+    # The phase that started tracing stopped it: a traced process runs
+    # every later allocation several times slower.
+    assert not tracemalloc.is_tracing()
 
 
 def test_runner_is_instrumented_with_phases():

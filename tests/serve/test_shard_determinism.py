@@ -1,26 +1,21 @@
-"""The sharded determinism tier: serial ≡ multiprocess, digest pinned.
+"""The sharded determinism tier: serial ≡ multiprocess, byte for byte.
 
-Three layers of the contract, in increasing strictness:
+Two layers of the contract, in increasing strictness:
 
 1. the same deployment run twice (multiprocess) is byte-identical;
 2. the serial reference path and the multiprocess path produce
-   byte-identical per-shard documents *and* merged document;
-3. the merged document's SHA-256 for the canonical smoke parameters is
-   pinned in ``tests/serve/data/shard_smoke.sha256`` — the same digest
-   CI's ``shard-smoke`` job checks against a fresh CLI run, extending
-   the byte-equality determinism tier in
+   byte-identical per-shard documents *and* merged document,
+   extending the byte-equality determinism tier in
    ``tests/experiments/test_determinism.py`` across the process
    boundary.
 
-Any scheduling, placement, metrics or serialisation change that moves
-a single byte of the merged report fails layer 3 loudly — update the
-pinned digest deliberately, with the change that moved it.
+The merged reports the real CLI writes for the smoke deployments below
+are digest-pinned as ``shard`` in ``tests/test_pins.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
-from pathlib import Path
 from typing import List
 
 from repro.experiments.harness.schema import validate_bench_payload
@@ -36,14 +31,10 @@ from repro.serve.shard import (
     run_sharded,
     sharded_document,
 )
-from repro.serve.shard.reporting import canonical_json, document_digest
+from repro.serve.shard.reporting import canonical_json
 
-DATA_DIR = Path(__file__).parent / "data"
-
-#: The canonical smoke parameters — keep in lockstep with the CI
-#: ``shard-smoke`` job and ``tests/serve/data/shard_smoke.sha256``.
-#: ``window_s`` pins the CLI's default so the CI job can run the real
-#: ``repro-storage serve --shards 2`` with no extra flags.
+#: The canonical smoke parameters — the ``shard r=1`` pin's deployment
+#: (``serve --shards 2``; ``window_s`` is the CLI default).
 SMOKE_CONFIG = ShardedServiceConfig(
     policy="online",
     num_shards=2,
@@ -57,11 +48,8 @@ SMOKE_LOAD = LoadgenConfig(
 )
 
 #: The replicated smoke: same fleet and load, three shards holding every
-#: data id on two of them. No faults are injected, so the digest pins
-#: that replication alone (catalog growth, failover-capable routing)
-#: changes no outcome bytes non-deterministically — keep in lockstep
-#: with the CI ``shard-smoke`` job and
-#: ``tests/serve/data/shard_smoke_r2.sha256``.
+#: data id on two of them, no faults injected — the ``shard r=2`` pin's
+#: deployment (``serve --shards 3 --replication-factor 2``).
 SMOKE_R2_CONFIG = ShardedServiceConfig(
     policy="online",
     num_shards=3,
@@ -101,15 +89,10 @@ def test_serial_and_multiprocess_paths_are_byte_identical() -> None:
     ) == canonical_json(sharded_document(SMOKE_CONFIG, SMOKE_LOAD, multi))
 
 
-def test_merged_document_digest_matches_the_pinned_tier() -> None:
+def test_merged_document_is_schema_valid() -> None:
     run = run_sharded(SMOKE_CONFIG, SMOKE_LOAD, multiprocess=False)
     document = sharded_document(SMOKE_CONFIG, SMOKE_LOAD, run)
-    validate_bench_payload(document)
-    pinned = (DATA_DIR / "shard_smoke.sha256").read_text().strip()
-    assert document_digest(document) == pinned, (
-        "merged shard report changed bytes; if intentional, regenerate "
-        "tests/serve/data/shard_smoke.sha256 (see its sibling README)"
-    )
+    assert validate_bench_payload(document) == []
 
 
 def test_replicated_paths_are_byte_identical() -> None:
@@ -128,19 +111,13 @@ def test_replicated_paths_are_byte_identical() -> None:
     assert multi.availability == completed / len(multi.outcomes)
 
 
-def test_replicated_document_digest_matches_the_pinned_tier() -> None:
+def test_replicated_document_records_its_deployment() -> None:
     run = run_sharded(SMOKE_R2_CONFIG, SMOKE_LOAD, multiprocess=False)
     document = sharded_document(SMOKE_R2_CONFIG, SMOKE_LOAD, run)
-    validate_bench_payload(document)
+    assert validate_bench_payload(document) == []
     deployment = document["result"]["deployment"]
     assert deployment["shard_replication_factor"] == 2
     assert "recovery" not in document["result"]
-    pinned = (DATA_DIR / "shard_smoke_r2.sha256").read_text().strip()
-    assert document_digest(document) == pinned, (
-        "replicated merged report changed bytes; if intentional, "
-        "regenerate tests/serve/data/shard_smoke_r2.sha256 (see its "
-        "sibling README)"
-    )
 
 
 def test_shard_worker_equals_an_independent_unsharded_service() -> None:
@@ -183,4 +160,4 @@ def test_shard_worker_equals_an_independent_unsharded_service() -> None:
 def test_per_shard_reports_are_schema_valid() -> None:
     run = run_sharded(SMOKE_CONFIG, SMOKE_LOAD, multiprocess=False)
     for result in run.shard_results:
-        validate_bench_payload(dict(result.document))
+        assert validate_bench_payload(dict(result.document)) == []

@@ -1,26 +1,19 @@
-"""Bench-registry grouping and the tape smoke digest CLI.
+"""Bench-registry grouping: the tape benches next to the other families.
 
 ``repro-storage bench list`` groups bench ids by family so the tape
-benches are discoverable next to the figure/ablation/serve tiers; the
-smoke CLI pins the tape_tier sweep digest the same way the fig6
-(``kernel_smoke``) and shard smokes do. Both contracts are cheap to regress and load-bearing
-for CI, so they get their own tests.
+benches are discoverable next to the figure/ablation/serve tiers. The
+tape_tier sweep's result payload is digest-pinned as ``tape_tier`` in
+``tests/data/pins.sha256``, checked by ``tests/test_pins.py``.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Dict, List
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.experiments.harness import bench as bench_mod
-from repro.experiments.tape_smoke import digest_tape_tier
-from repro.experiments.tape_smoke import main as smoke_main
-
-#: Tiny sweep: quick enough to run three times in one test session.
-SMOKE_ARGS = ["--scale", "0.02", "--seed", "11"]
 
 
 def test_bench_list_groups_ids_by_family(
@@ -54,30 +47,3 @@ def test_bench_list_groups_ids_by_family(
 def test_every_bench_family_is_registered() -> None:
     for definition in bench_mod.BENCHES.values():
         assert definition.family in bench_mod.BENCH_FAMILIES
-
-
-def test_smoke_digest_is_stable_and_pins_round_trip(
-    tmp_path: Path, capsys: "pytest.CaptureFixture[str]"
-) -> None:
-    pin = tmp_path / "tape_smoke.sha256"
-    assert smoke_main([*SMOKE_ARGS, "--write", str(pin)]) == 0
-    written = pin.read_text().strip()
-    assert written == digest_tape_tier(0.02, 11)
-    assert smoke_main([*SMOKE_ARGS, "--check", str(pin)]) == 0
-    assert "pin ok" in capsys.readouterr().out
-
-
-def test_smoke_check_fails_on_a_stale_pin(
-    tmp_path: Path, capsys: "pytest.CaptureFixture[str]"
-) -> None:
-    pin = tmp_path / "tape_smoke.sha256"
-    pin.write_text("0" * 64 + "\n")
-    assert smoke_main([*SMOKE_ARGS, "--check", str(pin)]) == 1
-    assert "digest mismatch" in capsys.readouterr().err
-
-
-def test_committed_pin_matches_the_default_smoke_cell() -> None:
-    pinned = (
-        Path(__file__).parent / "data" / "tape_smoke.sha256"
-    ).read_text().strip()
-    assert digest_tape_tier(0.05, 11) == pinned
